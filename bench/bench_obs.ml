@@ -160,8 +160,11 @@ let snapshot_json mgr =
              touched and MIN/MAX rescan counts);
          v8: adds the E25 "durability" section (write-ahead-log
              overhead vs the in-memory pipeline, and the recovery-time
-             curve over log length). *)
-      ("schema_version", Obs.Json.Int 8);
+             curve over log length);
+         v9: drops the "parallel.sharded" sub-section with the
+             intra-view sharded evaluation it measured (E23); only
+             "per_view" remains. *)
+      ("schema_version", Obs.Json.Int 9);
       ("generator", Obs.Json.Str "bench/main.exe");
       ( "views",
         Obs.Json.List

@@ -1,24 +1,15 @@
-(* E18/E23: multicore scaling of the maintenance engine, along both
-   axes the executor offers.
+(* E18: multicore scaling of the maintenance engine.
 
-   E18 (per_view): eight independent select/join views over
-   customers ⋈ orders replayed through managers configured with 1, 2, 4
-   and 8 domains.  Views are data-independent (Manager.commit fans them
-   out over the lib/exec pool), so the curve measures how far commit
-   throughput scales with view-level parallelism alone.
+   Eight independent select/join views over customers ⋈ orders are
+   replayed through managers configured with 1, 2, 4 and 8 domains.
+   Views are data-independent (Manager.commit fans them out over the
+   lib/exec pool), so the curve measures how far commit throughput
+   scales with view-level parallelism, the only parallel axis the
+   engine has.
 
-   E23 (sharded): ONE view over a larger customers ⋈ orders join, same
-   domain sweep.  With a single view there is nothing to fan out, so
-   any speedup must come from inside the view: Delta_eval hash-shards
-   each truth-table row's largest operand (customers, above the
-   shard_min threshold) across the pool and merges the per-shard
-   results — the multiset merge is bit-identical to the sequential
-   evaluation, so the curve isolates the intra-view axis.
-
-   Both seeds fix scenario and stream, so every domain count processes
-   identical work.  [scaling_json] re-runs smaller versions of both
-   sweeps and serializes the curves into the BENCH_IVM.json snapshot
-   (schema_version 6). *)
+   The seed fixes scenario and stream, so every domain count processes
+   identical work.  [scaling_json] re-runs a smaller version of the
+   sweep and serializes the curve into the BENCH_IVM.json snapshot. *)
 
 module Maintenance = Ivm.Maintenance
 module Manager = Ivm.Manager
@@ -55,35 +46,6 @@ let run_per_view ~domains ~orders ~transactions ~batch seed =
   let db = sc.Scenario.db in
   let mgr = Manager.create ~domains db in
   define_dashboard_views mgr;
-  let columns = Scenario.columns_of sc "orders" in
-  Bench_util.time_once (fun () ->
-      for _ = 1 to transactions do
-        let txn =
-          Generate.transaction rng db "orders" ~columns
-            ~inserts:(batch / 2)
-            ~deletes:(batch - (batch / 2))
-        in
-        ignore (Manager.commit mgr txn)
-      done)
-
-(* One full E23 replay: a single wide join view, so the only available
-   parallelism is the intra-view sharding inside Delta_eval.  The
-   customers side is the largest operand of every surviving truth-table
-   row and sits well above Delta_eval.default_shard_min, so each row is
-   split into pool-size hash shards. *)
-let run_sharded ~domains ~customers ~orders ~transactions ~batch seed =
-  let rng = Rng.make seed in
-  let sc = Scenario.orders ~rng ~customers ~orders in
-  let db = sc.Scenario.db in
-  let mgr = Manager.create ~domains db in
-  let open Condition.Formula.Dsl in
-  ignore
-    (Manager.define_view mgr ~name:"big_join"
-       Query.Expr.(
-         project
-           [ "oid"; "cid"; "amount"; "region" ]
-           (select (v "amount" >% i 100)
-              (join (base "orders") (base "customers")))));
   let columns = Scenario.columns_of sc "orders" in
   Bench_util.time_once (fun () ->
       for _ = 1 to transactions do
@@ -135,12 +97,6 @@ let scaling_json () =
         run_per_view ~domains ~orders:4_000 ~transactions:pv_transactions
           ~batch:pv_batch 7_700)
   in
-  let sh_transactions = 8 and sh_batch = 256 in
-  let sharded =
-    curve (fun ~domains ->
-        run_sharded ~domains ~customers:6_000 ~orders:8_000
-          ~transactions:sh_transactions ~batch:sh_batch 7_710)
-  in
   Obs.Json.Obj
     [
       ("experiment", Obs.Json.Str "E18");
@@ -148,9 +104,6 @@ let scaling_json () =
       ( "per_view",
         scenario_json ~scenario:"orders" ~views:view_count
           ~transactions:pv_transactions ~batch:pv_batch per_view );
-      ( "sharded",
-        scenario_json ~scenario:"orders-wide" ~views:1
-          ~transactions:sh_transactions ~batch:sh_batch sharded );
     ]
 
 let print_curve ~transactions results =
@@ -168,8 +121,7 @@ let print_curve ~transactions results =
        results)
 
 let run () =
-  Bench_util.section
-    "E18/E23: domain-pool scaling (per-view fan-out vs intra-view sharding)";
+  Bench_util.section "E18: domain-pool scaling (per-view fan-out)";
   let cores = Domain.recommended_domain_count () in
   Printf.printf "cores available: %d (Domain.recommended_domain_count)\n" cores;
   let max_domains = List.fold_left max 1 domain_counts in
@@ -187,21 +139,9 @@ let run () =
   print_curve ~transactions
     (curve (fun ~domains ->
          run_per_view ~domains ~orders:6_000 ~transactions ~batch 7_700));
-  let sh_transactions = 10 and sh_batch = 256 in
-  Bench_util.banner
-    (Printf.sprintf
-       "E23 sharded: 1 wide join view, %d txns, batch %d, |customers|=6k"
-       sh_transactions sh_batch);
-  print_curve ~transactions:sh_transactions
-    (curve (fun ~domains ->
-         run_sharded ~domains ~customers:6_000 ~orders:8_000
-           ~transactions:sh_transactions ~batch:sh_batch 7_710));
   Printf.printf
-    "\nPer-view: views are maintained as independent pool tasks, so the\n\
-     curve tops out at min(views, domains).  Sharded: a single view has\n\
-     no task-level parallelism at all — the speedup comes from\n\
-     Delta_eval hash-sharding each truth-table row's largest operand\n\
-     across the pool, with a merge that is bit-identical to the\n\
-     sequential result.  With a single hardware core both curves stay\n\
-     flat and the extra domains only add scheduling overhead — the\n\
-     engine falls back to inline execution at domains=1.\n"
+    "\nViews are maintained as independent pool tasks, so the curve tops\n\
+     out at min(views, domains); a single view is maintained on one\n\
+     domain.  With a single hardware core the curve stays flat and the\n\
+     extra domains only add scheduling overhead — the engine falls back\n\
+     to inline execution at domains=1.\n"

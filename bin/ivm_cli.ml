@@ -528,9 +528,11 @@ let run_crash_fuzz ~seed ~streams ~transactions ~domains ~fault_rate
   | None ->
     Printf.printf
       "crash fuzz passed: %d streams x %d transactions at domains=%d, seed \
-       %d; %d kills (%d with torn tails), %d WAL records replayed; every \
-       recovery was bit-identical to the durable frontier and idempotent\n"
+       %d; %d grouped and %d tower views; %d kills (%d with torn tails), %d \
+       WAL records replayed; every recovery was bit-identical to the \
+       durable frontier and idempotent\n"
       outcome.Oracle.Crash.streams_run transactions domains seed
+      outcome.Oracle.Crash.grouped_views outcome.Oracle.Crash.tower_views
       outcome.Oracle.Crash.crashes outcome.Oracle.Crash.torn
       outcome.Oracle.Crash.replayed;
     0

@@ -15,7 +15,6 @@ type decision = {
   recompute_cost : float;
   self_maintain_cost : float option;
   choose : arm;
-  choose_differential : bool;
 }
 
 (* Calibrated against experiment E9 on the hash-join engine: differential
@@ -97,7 +96,6 @@ let decide view ~db ~net =
     recompute_cost;
     self_maintain_cost;
     choose;
-    choose_differential = choose = Differential;
   }
 
 let pp_decision ppf d =
@@ -243,7 +241,7 @@ let sample_json s =
         | Some c -> Obs.Json.Float c
         | None -> Obs.Json.Null );
       ("chose", Obs.Json.Str (arm_name s.decision.choose));
-      ("chose_differential", Obs.Json.Bool s.decision.choose_differential);
+      ("chose_differential", Obs.Json.Bool (s.decision.choose = Differential));
       ("used", Obs.Json.Str (arm_name s.used));
       ("actual_ns", Obs.Json.Int s.actual_ns);
     ]

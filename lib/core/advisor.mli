@@ -44,9 +44,6 @@ type decision = {
       (** [None] when the view has no certificate or it does not cover
           this transaction's update sets *)
   choose : arm;  (** cheapest applicable arm *)
-  choose_differential : bool;
-      (** [choose = Differential]; kept for the pre-[Self_maintain]
-          consumers of the two-arm model *)
 }
 
 (** [decide view ~db ~net] evaluates the cost model for one transaction.

@@ -47,10 +47,8 @@ let operand (input : source_input) (choice : Truth_table.operand) part =
   | Truth_table.Delta_part, None ->
     invalid_arg "Delta_eval: delta operand for an unmodified source"
 
-let default_shard_min = 2048
-
-let eval ?(order = `Greedy) ?(join_impl = `Hash) ?(reuse = false) ?pool
-    ?(shard_min = default_shard_min) ~(spj : Query.Spj.t) ~inputs () =
+let eval ?(order = `Greedy) ?(join_impl = `Hash) ?(reuse = false)
+    ~(spj : Query.Spj.t) ~inputs () =
   (* Reorder inputs to the view's source order; with [reuse], place
      modified sources first (smallest deltas lead the shared prefixes). *)
   let ordered_inputs =
@@ -115,14 +113,6 @@ let eval ?(order = `Greedy) ?(join_impl = `Hash) ?(reuse = false) ?pool
     in
     let rows_evaluated = List.length tasks in
     let part_name = function `Inserts -> "inserts" | `Deletes -> "deletes" in
-    let pool_size =
-      match pool with Some p -> Exec.Pool.size p | None -> 1
-    in
-    let run_sources sources =
-      Query.Planner.run ~order ~join_impl ~sources
-        ~condition_dnf:spj.Query.Spj.condition_dnf
-        ~projection:spj.Query.Spj.projection ()
-    in
     if reuse then begin
       (* Shared-prefix evaluation runs all rows as one batch, so the rows
          cannot be traced individually; one span covers the batch. *)
@@ -139,7 +129,7 @@ let eval ?(order = `Greedy) ?(join_impl = `Hash) ?(reuse = false) ?pool
       in
       List.iter2 (fun (part, _) r -> merge (part, r)) tasks results
     end
-    else if pool_size <= 1 then
+    else
       List.iteri
         (fun row_index (part, sources) ->
           let r =
@@ -152,129 +142,11 @@ let eval ?(order = `Greedy) ?(join_impl = `Hash) ?(reuse = false) ?pool
                 ])
               (fun () ->
                 Resilience.Fault.point "row";
-                run_sources sources)
+                Query.Planner.run ~order ~join_impl ~sources
+                  ~condition_dnf:spj.Query.Spj.condition_dnf
+                  ~projection:spj.Query.Spj.projection ())
           in
           merge (part, r))
-        tasks
-    else begin
-      (* Intra-view sharding: partition the largest operand of each
-         sufficiently big row across [pool_size] hash shards, fan the
-         shard evaluations out on the pool, and union the shard results
-         — SPJ evaluation is linear in any single operand over multiset
-         union, so the merged delta is exactly the unsharded one.  The
-         merge-order independence is a payload-ring property, not an int
-         one: [Relation.union_into] combines counters with the
-         commutative, associative [Ring.Count.add], never by comparing
-         payload magnitudes, so the bit-identity check against the
-         sequential path holds for any payload ring with those laws.
-         Sub-[shard_min] rows run inline on the caller while the workers
-         chew, which keeps every domain busy without paying submission
-         overhead for tiny rows. *)
-      let pool = Option.get pool in
-      let shard_cache : (int, Relation.t array) Hashtbl.t =
-        Hashtbl.create 8
-      in
-      (* Inserts and Deletes sides of a row share their [Old_part]
-         operands, so shards are cached per physical store. *)
-      let shards_of r =
-        match Hashtbl.find_opt shard_cache (Relation.storage_id r) with
-        | Some shards -> shards
-        | None ->
-          let shards =
-            Obs.Span.with_span "shard"
-              ~args:(fun () ->
-                [
-                  ("tuples", Obs.Json.Int (Relation.cardinal r));
-                  ("shards", Obs.Json.Int pool_size);
-                ])
-              (fun () -> Relation.shard ~n:pool_size r)
-          in
-          Hashtbl.add shard_cache (Relation.storage_id r) shards;
-          shards
-      in
-      let failure = ref None in
-      let fail e = if !failure = None then failure := Some e in
-      let inline_jobs = ref [] and shard_jobs = ref [] in
-      (* Fire each row's fault point in submission order, before any
-         fan-out: an injected fault aborts the eval without ever
-         spawning shard tasks, so no orphaned worker can be left
-         reading relations the caller mutates after the raise. *)
-      (try
-         List.iteri
-           (fun row_index (part, sources) ->
-             Resilience.Fault.point "row";
-             let lead, lead_cardinal =
-               List.fold_left
-                 (fun (best, best_n) (i, (_, r)) ->
-                   let n = Relation.cardinal r in
-                   if n > best_n then (i, n) else (best, best_n))
-                 (-1, -1)
-                 (List.mapi (fun i s -> (i, s)) sources)
-             in
-             if lead_cardinal < shard_min then
-               inline_jobs := (row_index, part, sources) :: !inline_jobs
-             else
-               Array.iteri
-                 (fun shard_index shard ->
-                   if not (Relation.is_empty shard) then
-                     let sources =
-                       List.mapi
-                         (fun i (alias, r) ->
-                           (alias, if i = lead then shard else r))
-                         sources
-                     in
-                     let thunk () =
-                       Obs.Span.with_span "row"
-                         ~args:(fun () ->
-                           [
-                             ("row", Obs.Json.Int row_index);
-                             ("part", Obs.Json.Str (part_name part));
-                             ("shard", Obs.Json.Int shard_index);
-                             ("operands", Obs.Json.Int (List.length sources));
-                           ])
-                         (fun () -> run_sources sources)
-                     in
-                     shard_jobs := (part, thunk) :: !shard_jobs)
-                 (shards_of (snd (List.nth sources lead))))
-           tasks
-       with e -> fail (e, Printexc.get_raw_backtrace ()));
-      let shard_jobs = List.rev !shard_jobs in
-      let futures =
-        match !failure with
-        | Some _ -> []
-        | None -> Exec.Pool.submit_batch pool (List.map snd shard_jobs)
-      in
-      (match !failure with
-      | Some _ -> ()
-      | None -> (
-        try
-          List.iter
-            (fun (row_index, part, sources) ->
-              let r =
-                Obs.Span.with_span "row"
-                  ~args:(fun () ->
-                    [
-                      ("row", Obs.Json.Int row_index);
-                      ("part", Obs.Json.Str (part_name part));
-                      ("operands", Obs.Json.Int (List.length sources));
-                    ])
-                  (fun () -> run_sources sources)
-              in
-              merge (part, r))
-            (List.rev !inline_jobs)
-        with e -> fail (e, Printexc.get_raw_backtrace ())));
-      (* Await every submitted future even after a failure: a shard task
-         still in flight must finish before control returns to a caller
-         that may mutate its operands. *)
-      List.iter2
-        (fun (part, _) future ->
-          match Exec.Pool.await_result future with
-          | Ok r -> if !failure = None then merge (part, r)
-          | Error e -> fail e)
-        shard_jobs futures;
-      match !failure with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ()
-    end;
+        tasks;
     { delta = out; rows_evaluated }
   end

@@ -34,33 +34,15 @@ type result = {
     - [order] (default [`Greedy]) picks the join order per row; greedy
       starts from the smallest operand, typically a delta.
     - [reuse] (default [false]) shares partial joins across rows.
-    - [pool] enables intra-view parallelism: each row whose largest
-      operand has at least [shard_min] distinct tuples (default
-      {!default_shard_min}) has that operand hash-partitioned into one
-      shard per pool domain via {!Relalg.Relation.shard}; the shard
-      evaluations run on the pool and their results are unioned into
-      the row's delta.  SPJ evaluation is linear in any one operand
-      over multiset union, so the merged delta — materialization,
-      counters and [rows_evaluated] alike — is bit-identical to the
-      sequential result.  Rows below the threshold run inline on the
-      caller.  Ignored with [~reuse:true] (shared-prefix batches are
-      evaluated as one unit) and on size-1 pools.
     @raise Invalid_argument if an alias is missing. *)
 val eval :
   ?order:Query.Planner.join_order ->
   ?join_impl:Query.Planner.join_impl ->
   ?reuse:bool ->
-  ?pool:Exec.Pool.t ->
-  ?shard_min:int ->
   spj:Query.Spj.t ->
   inputs:source_input list ->
   unit ->
   result
-
-val default_shard_min : int
-(** Minimum distinct-tuple count of a row's largest operand before the
-    row is sharded across the pool (2048: below this, submission and
-    shard-construction overhead outweigh the parallel win). *)
 
 (** Output schema of the view delta, derived from the inputs' schemas. *)
 val output_schema : spj:Query.Spj.t -> inputs:source_input list -> Schema.t

@@ -311,67 +311,23 @@ let relevant_naive screen tuple =
     (Satisfiability.is_unsat
        (Satisfiability.dnf ~typing:screen.typing with_bounds))
 
-(* Tuples per parallel screening task.  Below two chunks the split
-   cannot win, so small update sets always take the sequential path. *)
-let screen_chunk_size = 512
-
 let n_rules = List.length all_rules
 
-let screen_delta_explain ?pool screen (d : Delta.t) =
+let screen_delta_explain screen (d : Delta.t) =
   let kept = ref 0 and dropped = ref 0 in
   let rule_counts = Array.make n_rules 0 in
   let filter r =
     let out = Relation.create (Relation.schema r) in
-    let sequential () =
-      Relation.iter
-        (fun t c ->
-          match explain screen t with
-          | None ->
-            incr kept;
-            Relation.update out t c
-          | Some rule ->
-            incr dropped;
-            rule_counts.(rule_index rule) <- rule_counts.(rule_index rule) + 1)
-        r
-    in
-    (match pool with
-    | Some pool
-      when Exec.Pool.size pool > 1
-           && Relation.cardinal r >= 2 * screen_chunk_size ->
-      (* Screening is a pure per-tuple check (Theorem 4.1 reads only the
-         precomputed screen), so chunks are independent; each returns
-         its kept sublist and per-rule drop counts that merge
-         sequentially. *)
-      let chunks =
-        Exec.Pool.chunks ~size:screen_chunk_size (Relation.elements r)
-      in
-      Exec.Pool.map_list pool
-        (fun chunk ->
-          let counts = Array.make n_rules 0 in
-          let keep =
-            List.fold_left
-              (fun keep (t, c) ->
-                match explain screen t with
-                | None -> (t, c) :: keep
-                | Some rule ->
-                  counts.(rule_index rule) <- counts.(rule_index rule) + 1;
-                  keep)
-              [] chunk
-          in
-          (keep, counts))
-        chunks
-      |> List.iter (fun (keep, counts) ->
-             Array.iteri
-               (fun i n ->
-                 dropped := !dropped + n;
-                 rule_counts.(i) <- rule_counts.(i) + n)
-               counts;
-             List.iter
-               (fun (t, c) ->
-                 incr kept;
-                 Relation.update out t c)
-               keep)
-    | _ -> sequential ());
+    Relation.iter
+      (fun t c ->
+        match explain screen t with
+        | None ->
+          incr kept;
+          Relation.update out t c
+        | Some rule ->
+          incr dropped;
+          rule_counts.(rule_index rule) <- rule_counts.(rule_index rule) + 1)
+      r;
     out
   in
   let screened =
@@ -398,11 +354,11 @@ let screen_delta_explain ?pool screen (d : Delta.t) =
   end;
   (screened, (!kept, !dropped), rules)
 
-let screen_delta_stats ?pool screen d =
-  let screened, counts, _rules = screen_delta_explain ?pool screen d in
+let screen_delta_stats screen d =
+  let screened, counts, _rules = screen_delta_explain screen d in
   (screened, counts)
 
-let screen_delta ?pool screen d = fst (screen_delta_stats ?pool screen d)
+let screen_delta screen d = fst (screen_delta_stats screen d)
 
 let combined_relevant ~lookup ~spj tuples =
   let typing = Query.Spj.typing lookup spj in

@@ -70,26 +70,19 @@ val explain : screen -> Tuple.t -> rule option
     Semantically identical to {!relevant}; ablation E8a baseline. *)
 val relevant_naive : screen -> Tuple.t -> bool
 
-(** [screen_delta ?pool screen d] drops provably irrelevant tuples from both
-    parts of a delta.  With a [pool] of size > 1, update sets of at least
-    1024 tuples are split into chunks screened in parallel (screening is a
-    pure per-tuple check); results are identical to the sequential path. *)
-val screen_delta : ?pool:Exec.Pool.t -> screen -> Delta.t -> Delta.t
+(** [screen_delta screen d] drops provably irrelevant tuples from both
+    parts of a delta. *)
+val screen_delta : screen -> Delta.t -> Delta.t
 
 (** Statistics of the last [screen_delta] call are returned alongside when
     using [screen_delta_stats]: (kept, dropped). *)
-val screen_delta_stats :
-  ?pool:Exec.Pool.t -> screen -> Delta.t -> Delta.t * (int * int)
+val screen_delta_stats : screen -> Delta.t -> Delta.t * (int * int)
 
 (** Like {!screen_delta_stats}, but additionally returns how many dropped
     tuples each screening {!rule} accounted for (rules with zero drops are
-    omitted; order follows {!all_rules}).  Counts merge identically across
-    the sequential and chunked-parallel paths. *)
+    omitted; order follows {!all_rules}). *)
 val screen_delta_explain :
-  ?pool:Exec.Pool.t ->
-  screen ->
-  Delta.t ->
-  Delta.t * (int * int) * (rule * int) list
+  screen -> Delta.t -> Delta.t * (int * int) * (rule * int) list
 
 (** Theorem 4.2: a set of tuples inserted into (or deleted from) several
     relations with disjoint schemes is irrelevant iff the simultaneous

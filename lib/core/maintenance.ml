@@ -16,7 +16,6 @@ type options = {
   reuse : bool;
   order : Query.Planner.join_order;
   join_impl : Query.Planner.join_impl;
-  shard_min : int;
 }
 
 let default_options =
@@ -26,7 +25,6 @@ let default_options =
     reuse = false;
     order = `Greedy;
     join_impl = `Hash;
-    shard_min = Delta_eval.default_shard_min;
   }
 
 type report = {
@@ -193,7 +191,7 @@ let merge_rule_counts acc rules =
       | None -> acc @ [ (id, n) ])
     acc rules
 
-let view_delta ?(options = default_options) ?pool view ~db ~net =
+let view_delta ?(options = default_options) view ~db ~net =
   let t_start = Obs.Clock.now_ns () in
   let spj = View.spj view in
   let screened_out = ref 0 and screened_kept = ref 0 in
@@ -227,7 +225,7 @@ let view_delta ?(options = default_options) ?pool view ~db ~net =
                   (fun () ->
                     Resilience.Fault.point "screen";
                     let screened, stats, rules =
-                      Irrelevance.screen_delta_explain ?pool screen raw
+                      Irrelevance.screen_delta_explain screen raw
                     in
                     row_stats := stats;
                     screen_rules := merge_rule_counts !screen_rules rules;
@@ -251,8 +249,7 @@ let view_delta ?(options = default_options) ?pool view ~db ~net =
       (fun () ->
         Resilience.Fault.point "eval";
         Delta_eval.eval ~order:options.order ~join_impl:options.join_impl
-          ~reuse:options.reuse ?pool ~shard_min:options.shard_min ~spj ~inputs
-          ())
+          ~reuse:options.reuse ~spj ~inputs ())
   in
   let eval_ns = Obs.Clock.now_ns () - t_eval in
   let delta = result.Delta_eval.delta in
@@ -345,10 +342,9 @@ let apply_grouped_delta ?journal g view (delta : Delta.t) =
 (* Differential maintenance of one view against a netted update set whose
    deletions are already installed: evaluate, then apply the view delta,
    completing the report's timing fields. *)
-let maintain_differential ~options ?pool ?journal ?fallback ~decision view ~db
-    ~net =
+let maintain_differential ~options ?journal ?fallback ~decision view ~db ~net =
   let t0 = Obs.Clock.now_ns () in
-  let delta, report = view_delta ~options ?pool view ~db ~net in
+  let delta, report = view_delta ~options view ~db ~net in
   let t_apply = Obs.Clock.now_ns () in
   let applied, groups_touched, rescans =
     Obs.Span.with_span "apply"
@@ -498,16 +494,8 @@ let maintain_recompute ?journal ?(want_delta = false) ~decision view ~db =
   | None -> ());
   report
 
-let process ?(options = default_options) ?(options_for = fun _ -> None) ?pool
-    ~views ~db txn =
-  (* With a pool, independent views are maintained in parallel: each task
-     reads the shared base relations (frozen between the two apply
-     phases) and writes only its own view's materialization. *)
-  let pmap f xs =
-    match pool with
-    | Some pool -> Exec.Pool.map_list pool f xs
-    | None -> List.map f xs
-  in
+let process ?(options = default_options) ?(options_for = fun _ -> None) ~views
+    ~db txn =
   Obs.Span.with_span "commit"
     ~args:(fun () -> [ ("views", Obs.Json.Int (List.length views)) ])
     (fun () ->
@@ -556,18 +544,18 @@ let process ?(options = default_options) ?(options_for = fun _ -> None) ?pool
           resolved
       in
       let reports =
-        pmap
+        List.map
           (fun (view, view_options, strategy, decision, fallback) ->
             match strategy with
             | Self_maintain -> maintain_self_maintain ~decision view ~net
             | _ ->
-              maintain_differential ~options:view_options ?pool ?fallback
-                ~decision view ~db ~net)
+              maintain_differential ~options:view_options ?fallback ~decision
+                view ~db ~net)
           differential
       in
       apply_inserts db net;
       let recompute_reports =
-        pmap
+        List.map
           (fun (view, _, _, decision, _) ->
             maintain_recompute ~decision view ~db)
           recomputed

@@ -37,15 +37,10 @@ type options = {
   reuse : bool;  (** share partial joins across truth-table rows *)
   order : Query.Planner.join_order;
   join_impl : Query.Planner.join_impl;
-  shard_min : int;
-      (** hash-shard a truth-table row's largest operand across the
-          pool when it has at least this many distinct tuples (see
-          {!Delta_eval.eval}); only takes effect when maintenance runs
-          with a pool of size > 1 *)
 }
 
 (** Differential, with screening, greedy join order, hash joins, no row
-    reuse, sharding past {!Delta_eval.default_shard_min} tuples. *)
+    reuse. *)
 val default_options : options
 
 (** [resolve_strategy options view ~db ~net] resolves [Adaptive] and
@@ -136,7 +131,6 @@ val record_report : report -> unit
     recorded for rollback. *)
 val maintain_differential :
   options:options ->
-  ?pool:Exec.Pool.t ->
   ?journal:Resilience.Journal.t ->
   ?fallback:string ->
   decision:Advisor.decision option ->
@@ -173,32 +167,25 @@ val maintain_recompute :
   db:Database.t ->
   report
 
-(** [view_delta ?options ?pool view ~db ~net] computes the view delta.
+(** [view_delta ?options view ~db ~net] computes the view delta.
     [db] must be in the deletions-applied intermediate state and [net] is
-    the transaction's net effect.  Does not modify anything.  [pool]
-    parallelizes the screening of large update sets
-    ({!Irrelevance.screen_delta}). *)
+    the transaction's net effect.  Does not modify anything. *)
 val view_delta :
   ?options:options ->
-  ?pool:Exec.Pool.t ->
   View.t ->
   db:Database.t ->
   net:Transaction.net ->
   Delta.t * report
 
-(** [process ?options ?pool ~views ~db txn] runs the whole commit: nets the
-    transaction, updates the base relations, and maintains every view.
-    Per-view options override the common ones.  With a [pool] of size > 1,
-    views are maintained in parallel (they are data-independent once the
-    net effect is computed: each task only reads base relations and writes
-    its own materialization); results are identical to the sequential
-    order.
+(** [process ?options ~views ~db txn] runs the whole commit: nets the
+    transaction, updates the base relations, and maintains every view in
+    order.  Per-view options override the common ones.  {!Manager.commit}
+    is the parallel, fault-isolated counterpart.
     @raise Transaction.Invalid on invalid transactions (nothing is
     modified in that case). *)
 val process :
   ?options:options ->
   ?options_for:(string -> options option) ->
-  ?pool:Exec.Pool.t ->
   views:View.t list ->
   db:Database.t ->
   Transaction.t ->

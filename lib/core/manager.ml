@@ -698,8 +698,8 @@ let drain_deltas mgr e ?journal pending =
             inserts)
         net;
       match
-        Maintenance.maintain_differential ~options:e.options ~pool:mgr.pool
-          ?journal ~decision:(Some decision) e.view ~db:mgr.catalog ~net
+        Maintenance.maintain_differential ~options:e.options ?journal
+          ~decision:(Some decision) e.view ~db:mgr.catalog ~net
       with
       | report -> report
       | exception exn ->
@@ -1019,11 +1019,12 @@ let commit mgr txn =
       (* Fan the maintenance tasks out over the pool: once deletions are
          installed each task only reads base relations and writes its
          own view's materialization (through its own sub-journal), so
-         tasks are data-independent.  [map_list_results] awaits all of
-         them — one failing view must not abandon its siblings' futures
-         — and journal merging, stats and health transitions stay on the
-         committing domain, in definition order, after the barrier,
-         which keeps commit fully deterministic. *)
+         tasks are data-independent.  Each task is wrapped to return a
+         [result] rather than raise, so [map_list] awaits all of them —
+         one failing view must not abandon its siblings — and journal
+         merging, stats and health transitions stay on the committing
+         domain, in definition order, after the barrier, which keeps
+         commit fully deterministic. *)
       (* Task-granularity threshold, in the advisor's tuple-touch cost
          units (~10-50 ns each after calibration): consecutive view
          tasks predicted cheaper than this are coalesced into one pool
@@ -1146,7 +1147,7 @@ let commit mgr txn =
                 ~decision e.view ~net
             | `Differential ->
               Maintenance.maintain_differential ~options:e.options
-                ~pool:mgr.pool ?journal:task_journal ?fallback ~decision e.view
+                ?journal:task_journal ?fallback ~decision e.view
                 ~db:mgr.catalog ~net)
       in
       base_phase ~phase:"apply-inserts" (fun () ->

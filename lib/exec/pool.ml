@@ -275,59 +275,9 @@ let await fut =
   | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
   | Pending -> assert false
 
-let await_result fut =
-  help_until_resolved fut;
-  match fut.cell with
-  | Done v -> Ok v
-  | Failed (e, bt) -> Error (e, bt)
-  | Pending -> assert false
-
 let map_list pool f xs =
   if pool.size <= 1 then List.map f xs
   else List.map await (submit_batch pool (List.map (fun x () -> f x) xs))
-
-let map_list_results pool f xs =
-  let wrap x =
-    match f x with
-    | v -> Ok v
-    | exception e -> Error (e, Printexc.get_raw_backtrace ())
-  in
-  if pool.size <= 1 then List.map wrap xs
-  else
-    List.map await_result (submit_batch pool (List.map (fun x () -> f x) xs))
-
-let chunks ~size xs =
-  let size = max 1 size in
-  let rec take n acc = function
-    | rest when n = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: rest -> take (n - 1) (x :: acc) rest
-  in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | xs ->
-      let chunk, rest = take size [] xs in
-      go (chunk :: acc) rest
-  in
-  go [] xs
-
-let map_chunked ?chunk_size pool f xs =
-  if pool.size <= 1 then List.map f xs
-  else begin
-    let len = List.length xs in
-    let chunk_size =
-      match chunk_size with
-      | Some s -> max 1 s
-      (* Default: ~2 chunks per domain — enough slack for stealing to
-         even out imbalance without per-element submission overhead. *)
-      | None -> max 1 ((len + (2 * pool.size) - 1) / (2 * pool.size))
-    in
-    let futures =
-      submit_batch pool
-        (List.map (fun chunk () -> List.map f chunk) (chunks ~size:chunk_size xs))
-    in
-    List.concat_map await futures
-  end
 
 let coalesce ~cost ~threshold xs =
   let threshold = max 1 threshold in

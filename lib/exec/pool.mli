@@ -34,44 +34,17 @@ val submit : t -> (unit -> 'a) -> 'a future
 (** Enqueue a task.  On a size-1 or shut-down pool the task runs inline
     in the caller before [submit] returns. *)
 
-val submit_batch : t -> (unit -> 'a) list -> 'a future list
-(** Enqueue many tasks at once: one metrics bump and at most one lock
-    acquisition per worker queue for the whole batch, instead of per
-    task — use this when fanning out sub-millisecond tasks whose
-    individual submission overhead would dominate.  Order of the
-    returned futures matches the input.  Inline on size-1 pools. *)
-
 val await : 'a future -> 'a
 (** Wait for a future, helping run other queued tasks meanwhile.  If the
     task raised, the exception is re-raised here with its original
     backtrace. *)
 
-val await_result : 'a future -> ('a, exn * Printexc.raw_backtrace) result
-(** Like {!await}, but returns the task's failure instead of re-raising
-    it — for callers awaiting a whole batch that must not abandon
-    sibling futures mid-flight. *)
-
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving parallel map: submits one task per element, then
-    awaits them in order.  Sequential [List.map] on a size-1 pool. *)
-
-val map_list_results :
-  t -> ('a -> 'b) -> 'a list -> ('b, exn * Printexc.raw_backtrace) result list
-(** Like {!map_list}, but awaits {e all} tasks and returns a per-task
-    [result] instead of re-raising the first failure mid-flight — the
-    fault-isolation primitive: one failing view-maintenance task must
-    not abandon its siblings' futures. *)
-
-val chunks : size:int -> 'a list -> 'a list list
-(** Split a list into consecutive chunks of at most [size] elements
-    (order preserved; [size] clamped to at least 1). *)
-
-val map_chunked : ?chunk_size:int -> t -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving parallel map over {e chunks}: the list is split
-    into [chunk_size] pieces (default: about two chunks per domain),
-    each chunk becomes one task submitted via {!submit_batch}, and the
-    per-chunk results are concatenated in order.  Equivalent to
-    [List.map f] on a size-1 pool. *)
+(** Order-preserving parallel map: submits all tasks as one batch (one
+    metrics bump and at most one lock acquisition per worker queue),
+    then awaits them in order, re-raising the first failure.  Callers
+    that must not abandon sibling tasks wrap [f] to return a [result].
+    Sequential [List.map] on a size-1 pool. *)
 
 val coalesce : cost:('a -> int) -> threshold:int -> 'a list -> 'a list list
 (** Greedy in-order grouping by predicted cost: consecutive elements

@@ -143,44 +143,26 @@ let compare_snapshots opts ~baseline ~current =
     regress "advisor.pairs is empty (predicted-vs-actual pairs disappeared)"
   | Some (_ :: _), None -> regress "advisor.pairs missing from the snapshot"
   | _ -> ());
-  (* E18/E23: speedups compare only when both machines had the cores —
-     and a skipped comparison is logged as a note, never silent, so a
-     reader of the diff knows the parallel axis went unchecked.  The
-     schema_version 6 snapshot splits "parallel" into per_view and
-     sharded sub-sections; a flat pre-v6 baseline falls back to its
-     top-level speedup fields (compared against the current per_view
-     section, the same fan-out measurement) and has no sharded data to
-     compare at all. *)
+  (* E18: speedups compare only when both machines had the cores — and
+     a skipped comparison is logged as a note, never silent, so a reader
+     of the diff knows the parallel axis went unchecked. *)
   (let cores json =
      Option.value ~default:1.0 (num_path "parallel.cores_available" json)
    in
    let usable = Float.min (cores baseline) (cores current) in
-   let speedup section field json =
-     match num_path (Printf.sprintf "parallel.%s.%s" section field) json with
-     | Some v -> Some v
-     | None when section = "per_view" ->
-       (* pre-v6 flat layout *)
-       num_path ("parallel." ^ field) json
-     | None -> None
-   in
    List.iter
-     (fun section ->
-       List.iter
-         (fun (field, domains) ->
-           let what = Printf.sprintf "parallel.%s.%s" section field in
-           match (speedup section field baseline, speedup section field current)
-           with
-           | Some base, Some cur ->
-             if usable >= domains then
-               timing ~what ~worse_when:`Lower base cur
-             else
-               note
-                 "%s: %.2f -> %.2f skipped (cores_available %.0f < %.0f \
-                  domains on at least one machine)"
-                 what base cur usable domains
-           | _ -> ())
-         [ ("speedup_at_2", 2.0); ("speedup_at_4", 4.0); ("speedup_at_8", 8.0) ])
-     [ "per_view"; "sharded" ]);
+     (fun (field, domains) ->
+       let what = "parallel.per_view." ^ field in
+       match (num_path what baseline, num_path what current) with
+       | Some base, Some cur ->
+         if usable >= domains then timing ~what ~worse_when:`Lower base cur
+         else
+           note
+             "%s: %.2f -> %.2f skipped (cores_available %.0f < %.0f domains \
+              on at least one machine)"
+             what base cur usable domains
+       | _ -> ())
+     [ ("speedup_at_2", 2.0); ("speedup_at_4", 4.0); ("speedup_at_8", 8.0) ]);
   (* E20: the journaling budget is an absolute contract, not a ratio *)
   (match num_path "resilience.journal_overhead_pct" current with
   | Some pct ->

@@ -283,28 +283,51 @@ type outcome = {
   crashes : int;
   torn : int;  (** crashes with a torn-tail injection *)
   replayed : int;  (** WAL records replayed across all recoveries *)
+  grouped_views : int;
+  tower_views : int;
   failure : (Stream.t * Harness.divergence) option;
 }
 
+(* GROUP BY views and views defined over other views, so a summary shows
+   whether the aggregate arm ran. *)
+let count_view_kinds (stream : Stream.t) =
+  let names = List.map (fun v -> v.Stream.view_name) stream.Stream.views in
+  let count p = List.length (List.filter p stream.Stream.views) in
+  ( count (fun v -> Query.Expr.aggregate v.Stream.expr <> None),
+    count (fun v ->
+        List.exists (fun b -> List.mem b names)
+          (Query.Expr.base_names v.Stream.expr)) )
+
 let fuzz ?(progress = fun _ -> ()) ?(fault_rate = 0.05) ?(aggregates = true)
     ~dir ~seed ~streams ~transactions ~domains () =
-  let rec loop k crashes torn replayed =
-    if k >= streams then
-      { streams_run = streams; crashes; torn; replayed; failure = None }
+  let rec loop k (acc : outcome) =
+    if k >= streams then acc
     else begin
       let stream =
         Stream.generate ~domains ~aggregates ~seed:(seed + k) ~transactions ()
       in
-      let dir = Printf.sprintf "%s-%d" dir k in
-      match run ~fault_rate ~dir stream with
+      let grouped, towers = count_view_kinds stream in
+      let acc =
+        {
+          acc with
+          streams_run = k + 1;
+          grouped_views = acc.grouped_views + grouped;
+          tower_views = acc.tower_views + towers;
+        }
+      in
+      match run ~fault_rate ~dir:(Printf.sprintf "%s-%d" dir k) stream with
       | r ->
         progress (k + 1);
         loop (k + 1)
-          (crashes + if r.crashed then 1 else 0)
-          (torn + if r.torn_bytes > 0 then 1 else 0)
-          (replayed + r.records_replayed)
-      | exception Harness.Diverged d ->
-        { streams_run = k + 1; crashes; torn; replayed; failure = Some (stream, d) }
+          {
+            acc with
+            crashes = (acc.crashes + if r.crashed then 1 else 0);
+            torn = (acc.torn + if r.torn_bytes > 0 then 1 else 0);
+            replayed = acc.replayed + r.records_replayed;
+          }
+      | exception Harness.Diverged d -> { acc with failure = Some (stream, d) }
     end
   in
-  loop 0 0 0 0
+  loop 0
+    { streams_run = 0; crashes = 0; torn = 0; replayed = 0; grouped_views = 0;
+      tower_views = 0; failure = None }

@@ -43,6 +43,8 @@ type outcome = {
   crashes : int;  (** streams that died at a kill point *)
   torn : int;  (** crashes with a torn-tail injection *)
   replayed : int;  (** WAL records replayed across all recoveries *)
+  grouped_views : int;  (** GROUP BY views the streams defined *)
+  tower_views : int;  (** views the streams defined over other views *)
   failure : (Stream.t * Harness.divergence) option;
 }
 

@@ -229,12 +229,6 @@ let random_options rng =
     reuse = Rng.chance rng 0.5;
     order = (if Rng.chance rng 0.5 then `Greedy else `Declaration);
     join_impl = (if Rng.chance rng 0.8 then `Hash else `Nested_loop);
-    (* A threshold of 1 forces intra-view sharding onto the tiny fuzz
-       relations, so multi-domain fuzz runs lockstep-check the sharded
-       evaluation path against the oracle, not just the default that
-       would never trigger at this scale. *)
-    shard_min =
-      (if Rng.chance rng 0.5 then 1 else Ivm.Delta_eval.default_shard_min);
   }
 
 (* Every update to [relation] that all screens of all views prove
@@ -418,7 +412,7 @@ let generate ?(domains = 1) ?(aggregates = false) ~seed ~transactions () =
 (* ------------------------------------------------------------------ *)
 
 let pp_options ppf (o : Maintenance.options) =
-  Format.fprintf ppf "%s, screen=%s, %s order, %s join, shard_min=%d"
+  Format.fprintf ppf "%s, screen=%s, %s order, %s join"
     (Maintenance.strategy_name o.Maintenance.strategy)
     (if o.Maintenance.screen then "on" else "off")
     (match o.Maintenance.order with
@@ -427,7 +421,6 @@ let pp_options ppf (o : Maintenance.options) =
     (match o.Maintenance.join_impl with
     | `Hash -> "hash"
     | `Nested_loop -> "nested-loop")
-    o.Maintenance.shard_min
 
 (* Break-free renderings: counterexamples should paste back as one line
    per item, which the boxed Schema.pp/Tuple.pp printers do not ensure. *)

@@ -108,18 +108,6 @@ let reschema r s =
     invalid_arg "Relation.reschema: arity mismatch";
   { r with schema = s }
 
-let shard ~n r =
-  let n = max 1 n in
-  let shards =
-    Array.init n (fun _ -> create ~size_hint:((cardinal r / n) + 1) r.schema)
-  in
-  iter
-    (fun t c ->
-      let slot = (Tuple.hash t land max_int) mod n in
-      add ~count:c shards.(slot) t)
-    r;
-  shards
-
 let union_into ~into r = iter (fun t c -> update into t c) r
 let diff_into ~into r = iter (fun t c -> update into t (-c)) r
 

@@ -74,18 +74,6 @@ val subscribe : t -> (Tuple.t -> int -> unit) -> unit
     @raise Invalid_argument on arity mismatch. *)
 val reschema : t -> Schema.t -> t
 
-(** [shard ~n r] partitions [r] by tuple hash into [n] fresh relations
-    ([n] clamped to at least 1): every counted tuple lands in exactly
-    one shard, counters preserved, so {!union_into}-ing all shards into
-    an empty relation rebuilds [r].  The placement depends only on the
-    tuple's hash, never on iteration order or shard history, which is
-    what makes shard-wise evaluation deterministic.  SPJ operators are
-    linear over multiset union, so evaluating a query once per shard of
-    one operand and unioning the results equals evaluating it against
-    the whole operand — the identity behind intra-view parallelism in
-    [Delta_eval]. *)
-val shard : n:int -> t -> t array
-
 (** [union_into ~into r] adds every counted tuple of [r] into [into]. *)
 val union_into : into:t -> t -> unit
 

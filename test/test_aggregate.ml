@@ -174,9 +174,6 @@ let grouped_delta_equals_recompute seed =
                Maintenance.default_options with
                strategy = strategies.(k mod Array.length strategies);
                screen = Rng.chance rng 0.5;
-               shard_min =
-                 (if Rng.chance rng 0.5 then 1
-                  else Ivm.Delta_eval.default_shard_min);
              }
            expr))
     grouped_exprs;

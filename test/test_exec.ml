@@ -15,7 +15,8 @@ let test_map_list () =
       Alcotest.(check (list int))
         "order preserved"
         (List.map (fun x -> x * x) xs)
-        (Pool.map_list pool (fun x -> x * x) xs))
+        (Pool.map_list pool (fun x -> x * x) xs);
+      Alcotest.(check (list int)) "empty list" [] (Pool.map_list pool Fun.id []))
 
 let test_sequential_fallback () =
   let pool = Pool.create ~domains:1 () in
@@ -81,31 +82,44 @@ let test_shared_registry () =
   Alcotest.(check bool) "one pool per size" true (p1 == p2);
   Alcotest.(check int) "size" 3 (Pool.size p1)
 
-let test_map_list_results () =
+(* The fault-isolation idiom of per-view fan-out: tasks wrapped to
+   return a [result] never raise, so [map_list] awaits every one of
+   them, in order. *)
+let wrap_result f x =
+  match f x with
+  | v -> Ok v
+  | exception e -> Error (e, Printexc.get_raw_backtrace ())
+
+let test_map_list_wrapped_results () =
+  let describe = function
+    | Ok v -> Printf.sprintf "ok %d" v
+    | Error (Failure m, _) -> "fail " ^ m
+    | Error (Division_by_zero, _) -> "div0"
+    | Error _ -> "other"
+  in
   let pool = Pool.create ~domains:4 () in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
       let results =
-        Pool.map_list_results pool
-          (fun x -> if x mod 3 = 0 then failwith (string_of_int x) else x * 10)
+        Pool.map_list pool
+          (wrap_result (fun x ->
+               if x mod 3 = 0 then failwith (string_of_int x)
+               else 100 / (x - 4)))
           [ 1; 2; 3; 4; 5; 6 ]
-      in
-      let describe = function
-        | Ok v -> Printf.sprintf "ok %d" v
-        | Error (Failure m, _) -> "fail " ^ m
-        | Error _ -> "other"
       in
       Alcotest.(check (list string))
         "every task resolves in order, failures as Error"
-        [ "ok 10"; "ok 20"; "fail 3"; "ok 40"; "ok 50"; "fail 6" ]
+        [ "ok -33"; "ok -50"; "fail 3"; "div0"; "ok 100"; "fail 6" ]
         (List.map describe results);
       (* A failing task must not abandon its siblings or the pool. *)
       Alcotest.(check (list int))
         "pool still runs new work" [ 2; 4 ]
         (Pool.map_list pool (fun x -> x * 2) [ 1; 2 ]))
 
-let test_map_list_results_inline () =
+(* A size-1 pool runs the wrapped tasks inline; the results must have
+   the pooled shape, backtrace included. *)
+let test_map_list_wrapped_results_inline () =
   let pool = Pool.create ~domains:1 () in
   let backtrace_flag = Printexc.backtrace_status () in
   Fun.protect
@@ -114,48 +128,10 @@ let test_map_list_results_inline () =
       Pool.shutdown pool)
     (fun () ->
       Printexc.record_backtrace true;
-      match Pool.map_list_results pool (fun x -> 100 / x) [ 2; 0 ] with
+      match Pool.map_list pool (wrap_result (fun x -> 100 / x)) [ 2; 0 ] with
       | [ Ok 50; Error (Division_by_zero, bt) ] ->
         ignore (Printexc.raw_backtrace_to_string bt)
       | _ -> Alcotest.fail "inline path must mirror the pooled result shape")
-
-let test_submit_batch () =
-  let pool = Pool.create ~domains:4 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      Alcotest.(check (list int))
-        "empty batch" []
-        (List.map Pool.await (Pool.submit_batch pool []));
-      let futures =
-        Pool.submit_batch pool (List.init 100 (fun i () -> i * 3))
-      in
-      Alcotest.(check (list int))
-        "futures come back in submission order"
-        (List.init 100 (fun i -> i * 3))
-        (List.map Pool.await futures))
-
-let test_map_chunked () =
-  let pool = Pool.create ~domains:4 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      let xs = List.init 101 Fun.id in
-      let expect = List.map (fun x -> x * x) xs in
-      Alcotest.(check (list int))
-        "default chunking preserves order" expect
-        (Pool.map_chunked pool (fun x -> x * x) xs);
-      Alcotest.(check (list int))
-        "explicit chunk size preserves order" expect
-        (Pool.map_chunked ~chunk_size:7 pool (fun x -> x * x) xs);
-      Alcotest.(check (list int))
-        "chunk size larger than the list" expect
-        (Pool.map_chunked ~chunk_size:1000 pool (fun x -> x * x) xs));
-  let inline = Pool.create ~domains:1 () in
-  Alcotest.(check (list int))
-    "size-1 pool maps inline" [ 2; 4; 6 ]
-    (Pool.map_chunked inline (fun x -> x * 2) [ 1; 2; 3 ]);
-  Pool.shutdown inline
 
 let test_coalesce () =
   Alcotest.(check (list (list int)))
@@ -174,9 +150,9 @@ let test_coalesce () =
     "concatenating the groups yields the input" xs
     (List.concat (Pool.coalesce ~cost:Fun.id ~threshold:13 xs))
 
-(* Several external domains hammer the same pool with submit_batch
-   concurrently; every batch must come back complete, ordered and
-   uncorrupted. *)
+(* Several external domains hammer the same pool with batches
+   concurrently ([map_list] submits each list as one batch); every batch
+   must come back complete, ordered and uncorrupted. *)
 let test_concurrent_submit_batch () =
   let pool = Pool.create ~domains:4 () in
   Fun.protect
@@ -190,7 +166,7 @@ let test_concurrent_submit_batch () =
                     let thunks =
                       List.init 40 (fun i () -> (d * 1000) + (round * 100) + i)
                     in
-                    List.map Pool.await (Pool.submit_batch pool thunks))
+                    Pool.map_list pool (fun thunk -> thunk ()) thunks)
                   [ 0; 1; 2; 3; 4 ]))
       in
       List.iteri
@@ -232,10 +208,10 @@ let test_work_stealing () =
           in
           let completed = Atomic.make 0 in
           let quick =
-            Pool.submit_batch pool
-              (List.init 20 (fun i () ->
-                   Atomic.incr completed;
-                   i * 7))
+            List.init 20 (fun i ->
+                Pool.submit pool (fun () ->
+                    Atomic.incr completed;
+                    i * 7))
           in
           let budget = ref 2_000_000_000 in
           while Atomic.get completed < 20 && !budget > 0 do
@@ -260,7 +236,7 @@ let test_work_stealing () =
             (List.map Pool.await quick)))
 
 (* Deep nesting under load: every task of an outer batch fans out its
-   own inner chunked map on the same pool and awaits it.  A pool whose
+   own inner batch on the same pool and awaits it.  A pool whose
    await could park while its sub-tasks sit unclaimed would deadlock
    here. *)
 let test_nested_batch_deadlock_free () =
@@ -274,8 +250,7 @@ let test_nested_batch_deadlock_free () =
             Pool.map_list pool
               (fun outer ->
                 List.fold_left ( + ) 0
-                  (Pool.map_chunked ~chunk_size:5 pool
-                     (fun x -> x + outer)
+                  (Pool.map_list pool (fun x -> x + outer)
                      (List.init 30 Fun.id)))
               (List.init 8 Fun.id)
           in
@@ -284,17 +259,6 @@ let test_nested_batch_deadlock_free () =
             (Printf.sprintf "nested fan-out at %d domains" domains)
             expect totals))
     [ 2; 4 ]
-
-let test_chunks () =
-  Alcotest.(check (list (list int)))
-    "splits in order"
-    [ [ 1; 2 ]; [ 3; 4 ]; [ 5 ] ]
-    (Pool.chunks ~size:2 [ 1; 2; 3; 4; 5 ]);
-  Alcotest.(check (list (list int))) "empty" [] (Pool.chunks ~size:4 []);
-  Alcotest.(check (list (list int)))
-    "size clamped to 1"
-    [ [ 1 ]; [ 2 ] ]
-    (Pool.chunks ~size:0 [ 1; 2 ])
 
 let () =
   Alcotest.run "exec"
@@ -309,14 +273,11 @@ let () =
             test_shutdown_idempotent;
           quick "tasks may submit sub-tasks to their own pool"
             test_nested_submission;
-          quick "map_list_results awaits every task and reports per-task errors"
-            test_map_list_results;
-          quick "map_list_results inline path matches the pooled shape"
-            test_map_list_results_inline;
+          quick "map_list awaits every result-wrapped task in order"
+            test_map_list_wrapped_results;
+          quick "map_list inline wrapped results match the pooled shape"
+            test_map_list_wrapped_results_inline;
           quick "shared registry returns one pool per size" test_shared_registry;
-          quick "chunks splits lists in order" test_chunks;
-          quick "submit_batch returns ordered futures" test_submit_batch;
-          quick "map_chunked equals the sequential map" test_map_chunked;
           quick "coalesce groups by summed cost" test_coalesce;
           quick "concurrent submit_batch from several domains"
             test_concurrent_submit_batch;

@@ -94,8 +94,6 @@ let random_options rng =
     reuse = Rng.chance rng 0.5;
     order = (if Rng.chance rng 0.5 then `Greedy else `Declaration);
     join_impl = (if Rng.chance rng 0.8 then `Hash else `Nested_loop);
-    shard_min =
-      (if Rng.chance rng 0.5 then 1 else Ivm.Delta_eval.default_shard_min);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -506,8 +504,7 @@ let stats_key (s : Manager.stats) =
    random choice comes from the reseeded [rng], and the database evolves
    identically commit by commit, so both runs see the same scenario, view
    set and transaction stream. *)
-let run_parallel_workload ?(shard_min = Delta_eval.default_shard_min) ~domains
-    seed =
+let run_parallel_workload ~domains seed =
   let rng = Rng.make seed in
   let scenario = random_scenario rng in
   let mgr = Manager.create ~domains scenario.db in
@@ -524,8 +521,9 @@ let run_parallel_workload ?(shard_min = Delta_eval.default_shard_min) ~domains
       Expr.(project [ "A"; "C" ] (select (v "C" >% i 2) (join (base "R") (base "S"))));
       Expr.(join_all [ base "R"; base "S"; base "T" ]);
       Expr.(select ((v "B" >=% i 2) &&% (v "C" <=% i 15)) (join (base "S") (base "T")));
-      (* Ring-valued payloads must survive sharding bit-identically too:
-         one grouped view over the same family rides in every view set. *)
+      (* Ring-valued payloads must survive parallelism bit-identically
+         too: one grouped view over the same family rides in every view
+         set. *)
       Expr.(
         group_by ~keys:[ "B" ]
           [
@@ -549,7 +547,6 @@ let run_parallel_workload ?(shard_min = Delta_eval.default_shard_min) ~domains
           Maintenance.default_options with
           strategy = strategies.(k mod Array.length strategies);
           screen = Rng.chance rng 0.8;
-          shard_min;
         }
       in
       ignore
@@ -561,10 +558,9 @@ let run_parallel_workload ?(shard_min = Delta_eval.default_shard_min) ~domains
     (Manager.define_view mgr ~name:"deferred" ~mode:Manager.Deferred ~force:true
        Expr.(project [ "B" ] (base "R")));
   (* A dependent view over the grouped view: the dependents phase must
-     also commute with sharding and parallelism. *)
+     also commute with parallelism. *)
   ignore
     (Manager.define_view mgr ~name:"tower" ~force:true
-       ~options:{ Maintenance.default_options with shard_min }
        Expr.(select (v "cnt" >% i 1) (base "v5")));
   let report_keys = ref [] in
   for _ = 1 to 4 do
@@ -587,112 +583,14 @@ let run_parallel_workload ?(shard_min = Delta_eval.default_shard_min) ~domains
   in
   (materializations, !report_keys, counters)
 
+(* Two domains is the asymmetric case (one worker plus the helping
+   committer), four the balanced one; both must reproduce the
+   sequential commits bit for bit. *)
 let parallel_equals_sequential seed =
-  run_parallel_workload ~domains:1 seed = run_parallel_workload ~domains:4 seed
-
-(* Forcing every truth-table row to shard (threshold 1) must not change
-   a single materialization, report or counter at any domain count —
-   the acceptance bar for intra-view sharding is bit-identical commits
-   across all strategies. *)
-let sharded_commits_equal_unsharded seed =
-  let unsharded = run_parallel_workload ~domains:1 seed in
+  let sequential = run_parallel_workload ~domains:1 seed in
   List.for_all
-    (fun domains ->
-      run_parallel_workload ~shard_min:1 ~domains seed = unsharded)
-    [ 1; 2; 4 ]
-
-(* The same invariant at the Delta_eval layer, directly: shard-then-
-   eval-then-merge of one view delta equals the sequential evaluation
-   tuple-for-tuple and count-for-count. *)
-let sharded_view_delta_equals_sequential seed =
-  let rng = Rng.make seed in
-  let scenario = random_scenario rng in
-  let exprs =
-    [|
-      Expr.(select (v "A" <% i 200) (base "R"));
-      Expr.(
-        project [ "A"; "C" ] (select (v "C" >% i 2) (join (base "R") (base "S"))));
-      Expr.(join_all [ base "R"; base "S"; base "T" ]);
-    |]
-  in
-  let view =
-    View.define ~name:"v" ~db:scenario.db
-      exprs.(Rng.int rng (Array.length exprs))
-  in
-  let txn = Generate.mixed_transaction rng scenario.db scenario.update_specs in
-  let net = Transaction.net_effect scenario.db txn in
-  Maintenance.apply_deletes scenario.db net;
-  let options =
-    {
-      Maintenance.default_options with
-      screen = Rng.chance rng 0.5;
-      shard_min = 1;
-    }
-  in
-  let seq_delta, seq_report =
-    Maintenance.view_delta ~options view ~db:scenario.db ~net
-  in
-  List.for_all
-    (fun domains ->
-      let pool = Exec.Pool.shared ~domains in
-      let delta, report =
-        Maintenance.view_delta ~options ~pool view ~db:scenario.db ~net
-      in
-      Relation.equal seq_delta.Delta.inserts delta.Delta.inserts
-      && Relation.equal seq_delta.Delta.deletes delta.Delta.deletes
-      && report_key report = report_key seq_report)
-    [ 1; 2; 4 ]
-
-(* Relation.shard is an exact partition: counts preserved, every tuple
-   in exactly one shard, placement independent of insertion history. *)
-let shard_partitions_relation seed =
-  let rng = Rng.make seed in
-  let r = random_counted rng [ "A"; "B" ] 12 in
-  let n = 1 + Rng.int rng 6 in
-  let shards = Relation.shard ~n r in
-  let reunion = Relation.create (Relation.schema r) in
-  Array.iter (fun s -> Relation.union_into ~into:reunion s) shards;
-  let disjoint =
-    Array.to_list shards
-    |> List.for_all (fun s ->
-           Relation.fold
-             (fun t _ acc ->
-               acc
-               && Array.for_all
-                    (fun other -> other == s || not (Relation.mem other t))
-                    shards)
-             s true)
-  in
-  Array.length shards = n && Relation.equal reunion r && disjoint
-
-(* The chunked screening path needs update sets past its 2*512-tuple
-   threshold, larger than any commit the other properties make — drive
-   Irrelevance.screen_delta_stats directly on a big delta and require
-   tuple-for-tuple (and count-for-count) agreement with the sequential
-   path. *)
-let chunked_screening_equals_sequential seed =
-  let rng = Rng.make seed in
-  let scenario = random_scenario rng in
-  let view =
-    View.define ~name:"v" ~db:scenario.db
-      Expr.(
-        select
-          ((v "A" <% i 200) &&% (v "C" >% i 5))
-          (join (base "R") (base "S")))
-  in
-  let screen = Ivm.View.screen_for view ~alias:"R" in
-  let schema = View.qualified_schema view ~alias:"R" in
-  let big_side () =
-    List.init 2_000 (fun _ ->
-        Tuple.of_ints [ Rng.range rng ~lo:(-100) ~hi:500; Rng.int rng 40 ])
-  in
-  let delta = Delta.of_lists schema (big_side (), big_side ()) in
-  let pool = Exec.Pool.shared ~domains:4 in
-  let seq, seq_stats = Ivm.Irrelevance.screen_delta_stats screen delta in
-  let par, par_stats = Ivm.Irrelevance.screen_delta_stats ~pool screen delta in
-  seq_stats = par_stats
-  && Relation.equal seq.Delta.inserts par.Delta.inserts
-  && Relation.equal seq.Delta.deletes par.Delta.deletes
+    (fun domains -> run_parallel_workload ~domains seed = sequential)
+    [ 2; 4 ]
 
 let () =
   Alcotest.run "properties"
@@ -708,16 +606,9 @@ let () =
         ] );
       ( "parallel",
         [
-          property "commit on 4 domains = commit on 1 domain" ~count:100
-            parallel_equals_sequential;
-          property "sharded commits = unsharded commits (domains 1, 2, 4)"
-            ~count:50 sharded_commits_equal_unsharded;
-          property "sharded view delta = sequential view delta" ~count:50
-            sharded_view_delta_equals_sequential;
-          property "shard partitions a relation exactly" ~count:200
-            shard_partitions_relation;
-          property "chunked parallel screening = sequential screening"
-            ~count:25 chunked_screening_equals_sequential;
+          property
+            "commit on 4 domains = commit on 1 domain = commit on 2 domains"
+            ~count:100 parallel_equals_sequential;
         ] );
       ( "algebra",
         [

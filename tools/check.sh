@@ -10,9 +10,9 @@ dune build @all
 # The whole suite and the oracle fuzz budget run three times:
 # sequential (the default), with a 2-domain pool (one worker — the
 # asymmetric case where steals and helping awaits are most likely),
-# and with the engine fanning views out over a 4-domain pool, so both
-# parallel axes (per-view fan-out and intra-view sharding) are
-# exercised by every test and every fuzzed stream.  The fuzz gate
+# and with the engine fanning views out over a 4-domain pool, so the
+# engine's one parallel axis, per-view fan-out, is exercised by every
+# test and every fuzzed stream.  The fuzz gate
 # replays fixed-seed random transaction streams against the naive
 # full-recompute oracle (see lib/oracle); a failure prints a shrunk,
 # replayable counterexample.  Generated streams declare full-tuple
@@ -41,10 +41,13 @@ for d in 1 2 4; do
   # boundaries, plus torn tails injected at arbitrary byte offsets into
   # the surviving log.  Every crash must recover to a state
   # bit-identical to an oracle that replayed the durable prefix, twice
-  # (recovery is idempotent), before the stream resumes.
+  # (recovery is idempotent), before the stream resumes.  The aggregate
+  # run's summary counts the grouped and tower views it covered.
   if [ "$d" -ne 2 ]; then
     dune exec bin/ivm_cli.exe -- fuzz --seed 1986 --streams 25 \
       --transactions 30 --domains "$d" --crash --quiet
+    dune exec bin/ivm_cli.exe -- fuzz --seed 1986 --streams 25 \
+      --transactions 30 --domains "$d" --crash --aggregates --quiet
   fi
   # Provenance smoke: the explain pipeline must replay the paper demo
   # (screening rules, keyed drain, certificate fallback) and emit
@@ -79,10 +82,9 @@ rm -f lint_bad.json
 
 # Bench smoke: one cheap section; every run also writes BENCH_IVM.json
 # (including the E21 self-maintenance comparison the validator gates).
-# The validator also holds the E23 scaling gate: on a machine with >= 4
-# cores the sharded curve must reach 1.5x at 4 domains and 1.0x at 2;
-# with fewer cores each sub-threshold speedup is skipped with a printed
-# warning (a 1-core runner cannot exhibit parallel speedup).
+# The E18 per-view speedups need only be positive; where the machine
+# has fewer cores than a domain count the check is skipped with a
+# printed warning (a 1-core runner cannot exhibit parallel speedup).
 dune exec bench/main.exe -- tables > /dev/null
 dune exec tools/validate_snapshot.exe -- bench BENCH_IVM.json
 

@@ -6,20 +6,15 @@
                                       contain spans for every Algorithm
                                       5.1 phase (net, screen, row, apply);
      validate_snapshot bench FILE   — BENCH_IVM.json from bench/main.exe:
-                                      must parse, be schema_version >= 8,
+                                      must parse, be schema_version >= 9,
                                       and carry per-view latency
                                       percentiles, advisor
-                                      predicted-vs-actual pairs, the
-                                      E18/E23 domain-scaling curves
-                                      (per_view fan-out and intra-view
-                                      sharded) with their speedup fields
-                                      — on a machine with >= 4 cores the
-                                      sharded curve must reach 1.5x at 4
-                                      domains and 1.0x at 2, the scaling
-                                      gate; where cores_available does
-                                      not cover a domain count the
-                                      comparison is skipped with a
-                                      printed warning — the E20
+                                      predicted-vs-actual pairs, the E18
+                                      per-view domain-scaling curve with
+                                      positive speedup fields (where
+                                      cores_available does not cover a
+                                      domain count the check is skipped
+                                      with a printed warning), the E20
                                       resilience section
                                       whose happy-path journaling
                                       overhead must stay within budget
@@ -121,11 +116,11 @@ let validate_bench path =
   ignore (require_member "calibration" advisor);
   ignore (require_member "metrics" json);
   (match require_member "schema_version" json with
-  | Obs.Json.Int v when v >= 8 -> ()
+  | Obs.Json.Int v when v >= 9 -> ()
   | Obs.Json.Int v ->
-    fail "schema_version %d < 8 (split E18 per_view / E23 sharded parallel \
-          curves, E20 resilience, E21 self-maintenance, E22 provenance, \
-          E24 aggregate and E25 durability sections required)" v
+    fail "schema_version %d < 9 (E18 per_view parallel curve, E20 \
+          resilience, E21 self-maintenance, E22 provenance, E24 aggregate \
+          and E25 durability sections required)" v
   | _ -> fail "schema_version is not an integer");
   let parallel = require_member "parallel" json in
   let cores =
@@ -133,79 +128,48 @@ let validate_bench path =
     | Some (Obs.Json.Int c) when c >= 1 -> c
     | _ -> fail "parallel.cores_available is not a positive integer"
   in
-  (* Two curves, one per parallelism axis.  Shape is always required;
-     whether a speedup is GATED depends on the hardware — a 1-core CI
-     runner cannot exhibit parallel speedup, so every sub-threshold
-     comparison on such a machine is skipped with a printed warning,
-     never silently.  Where the cores exist, the per_view curve needs
-     only positive speedups (its ceiling is min(views, domains)), but
-     the sharded curve carries the scaling gate: intra-view sharding
-     must buy >= 1.0x at 2 domains and >= 1.5x at 4, or the work-
-     stealing pool + hash-sharded evaluation has regressed into
-     overhead. *)
-  let speedup_fields section_name section =
-    let member key =
-      match Obs.Json.member key section with
-      | Some v -> v
-      | None -> fail "parallel.%s has no %S field" section_name key
-    in
-    let curve =
-      as_list (Printf.sprintf "parallel.%s.curve" section_name)
-        (member "curve")
-    in
-    if curve = [] then fail "parallel.%s.curve is empty" section_name;
-    List.iter
-      (fun point ->
-        List.iter
-          (fun key ->
-            if Obs.Json.member key point = None then
-              fail "a parallel.%s.curve point has no %S field" section_name
-                key)
-          [ "domains"; "elapsed_ns"; "commits_per_sec"; "speedup" ])
-      curve;
-    List.map
-      (fun (key, domains) ->
-        let value =
-          match member key with
-          | Obs.Json.Float s -> s
-          | Obs.Json.Int s -> float_of_int s
-          | _ -> fail "parallel.%s.%s is not a number" section_name key
-        in
-        (key, domains, value))
-      [ ("speedup_at_2", 2); ("speedup_at_4", 4); ("speedup_at_8", 8) ]
-  in
-  let gate_speedup ~section ~floor (key, domains, value) =
-    if cores < domains then
-      Printf.printf
-        "warning: parallel.%s.%s = %.2f skipped — %d core(s) < %d domains, \
-         speedup not credible on this machine\n"
-        section key value cores domains
-    else
-      match floor domains with
-      | Some threshold when value < threshold ->
-        fail
-          "parallel.%s.%s = %.2f below the %.1fx scaling gate (%d cores \
-           available)"
-          section key value threshold cores
-      | _ ->
-        if value <= 0.0 then fail "parallel.%s.%s is not positive" section key
-  in
-  let require_section name =
-    match Obs.Json.member name parallel with
+  (* The curve's shape is always required; whether a speedup is checked
+     depends on the hardware — a 1-core CI runner cannot exhibit
+     parallel speedup, so every comparison beyond the available cores is
+     skipped with a printed warning, never silently.  Where the cores
+     exist a speedup need only be positive: its ceiling is
+     min(views, domains). *)
+  let per_view =
+    match Obs.Json.member "per_view" parallel with
     | Some section -> section
-    | None ->
-      fail "parallel section has no %S sub-section (schema_version 6 split)"
-        name
+    | None -> fail "parallel section has no \"per_view\" sub-section"
   in
-  let per_view = speedup_fields "per_view" (require_section "per_view") in
-  let sharded = speedup_fields "sharded" (require_section "sharded") in
-  List.iter (gate_speedup ~section:"per_view" ~floor:(fun _ -> None)) per_view;
+  let member key =
+    match Obs.Json.member key per_view with
+    | Some v -> v
+    | None -> fail "parallel.per_view has no %S field" key
+  in
+  let curve = as_list "parallel.per_view.curve" (member "curve") in
+  if curve = [] then fail "parallel.per_view.curve is empty";
   List.iter
-    (gate_speedup ~section:"sharded" ~floor:(function
-      | 2 -> Some 1.0
-      | 4 -> Some 1.5
-      | _ -> None))
-    sharded;
+    (fun point ->
+      List.iter
+        (fun key ->
+          if Obs.Json.member key point = None then
+            fail "a parallel.per_view.curve point has no %S field" key)
+        [ "domains"; "elapsed_ns"; "commits_per_sec"; "speedup" ])
+    curve;
+  List.iter
+    (fun (key, domains) ->
+      let value =
+        match member key with
+        | Obs.Json.Float s -> s
+        | Obs.Json.Int s -> float_of_int s
+        | _ -> fail "parallel.per_view.%s is not a number" key
+      in
+      if cores < domains then
+        Printf.printf
+          "warning: parallel.per_view.%s = %.2f skipped — %d core(s) < %d \
+           domains, speedup not credible on this machine\n"
+          key value cores domains
+      else if value <= 0.0 then
+        fail "parallel.per_view.%s is not positive" key)
+    [ ("speedup_at_2", 2); ("speedup_at_4", 4); ("speedup_at_8", 8) ];
   let resilience = require_member "resilience" json in
   let resilience_member key =
     match Obs.Json.member key resilience with
@@ -389,19 +353,12 @@ let validate_bench path =
           commits replayed
       | _ -> ())
     recovery_curve;
-  let sharded_at_4 =
-    List.fold_left
-      (fun acc (_, domains, value) -> if domains = 4 then value else acc)
-      0.0 sharded
-  in
   Printf.printf
-    "ok: %s (%d views, %d advisor pairs, per_view + sharded scaling curves, \
-     sharded %.2fx at 4 domains%s, journal overhead %+.2f%%, \
-     self-maintenance eval reduction %.2fx, recorder overhead %+.2f%%, \
-     aggregate speedup %.2fx, wal overhead %+.2f%%, %d recovery points)\n"
-    path (List.length views) (List.length pairs) sharded_at_4
-    (if cores < 4 then " (ungated)" else " (gated >= 1.5x)")
-    overhead reduction recorder_overhead aggregate_speedup wal_overhead
+    "ok: %s (%d views, %d advisor pairs, per_view scaling curve, journal \
+     overhead %+.2f%%, self-maintenance eval reduction %.2fx, recorder \
+     overhead %+.2f%%, aggregate speedup %.2fx, wal overhead %+.2f%%, %d \
+     recovery points)\n"
+    path (List.length views) (List.length pairs) overhead reduction recorder_overhead aggregate_speedup wal_overhead
     (List.length recovery_curve)
 
 (* `ivm_cli lint --json` over the built-in scenarios: parseable, no
